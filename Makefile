@@ -65,7 +65,7 @@ chaos-smoke:
 	$(CARGO) run --release -q -p dwapsp --bin dwapsp -- chaos \
 		--graph target/chaos-smoke.json --runtime threads --kill 5@4 --cadence 3
 
-# Engine micro-benchmarks (criterion shim): scheduling modes x seq/par on
+# Engine micro-benchmarks (criterion shim): both scheduling modes on
 # idle-heavy, dense and fast-forward workloads, plus small e15_transport /
 # e16_alg3_phases passes. For eyeballing, not CI.
 bench-smoke:

@@ -1,7 +1,6 @@
 //! Engine micro-benchmarks for the active-set scheduler rework: the two
 //! regimes the scheduler separates (idle-heavy pipelined schedules vs
-//! dense every-node-sends-every-round), each under sequential and
-//! thread-parallel phase execution and under both scheduling modes.
+//! dense every-node-sends-every-round), each under both scheduling modes.
 //!
 //! `make bench-smoke` runs this suite; the wall-clock regression gate
 //! lives in `bench_check` (driven from `BENCH_2.json`), so these numbers
@@ -13,20 +12,16 @@ use dw_bench::workloads;
 use dw_congest::{EngineConfig, Network, SchedulingMode};
 use dw_pipeline as pipeline;
 
-fn cfg(mode: SchedulingMode, parallel: bool) -> EngineConfig {
+fn cfg(mode: SchedulingMode) -> EngineConfig {
     EngineConfig {
         scheduling: mode,
-        parallel_threshold: if parallel { 1 } else { usize::MAX },
-        threads: if parallel { 4 } else { 1 },
         ..EngineConfig::default()
     }
 }
 
-const MODES: [(&str, SchedulingMode, bool); 4] = [
-    ("exhaustive_seq", SchedulingMode::ExhaustivePoll, false),
-    ("exhaustive_par", SchedulingMode::ExhaustivePoll, true),
-    ("active_set_seq", SchedulingMode::ActiveSet, false),
-    ("active_set_par", SchedulingMode::ActiveSet, true),
+const MODES: [(&str, SchedulingMode); 2] = [
+    ("exhaustive", SchedulingMode::ExhaustivePoll),
+    ("active_set", SchedulingMode::ActiveSet),
 ];
 
 /// Idle-heavy: Algorithm 1 APSP on a zero-heavy graph — the pipelined
@@ -36,9 +31,9 @@ fn idle_heavy(c: &mut Criterion) {
     let wl = workloads::zero_heavy(48, 6, 77);
     let mut group = c.benchmark_group("idle_heavy_apsp");
     group.sample_size(10);
-    for (label, mode, parallel) in MODES {
+    for (label, mode) in MODES {
         group.bench_with_input(BenchmarkId::from_parameter(label), &wl, |b, wl| {
-            b.iter(|| pipeline::apsp(&wl.graph, wl.delta, cfg(mode, parallel)))
+            b.iter(|| pipeline::apsp(&wl.graph, wl.delta, cfg(mode)))
         });
     }
     group.finish();
@@ -50,11 +45,10 @@ fn dense_send(c: &mut Criterion) {
     let wl = workloads::unweighted(128, 33);
     let mut group = c.benchmark_group("dense_ping");
     group.sample_size(10);
-    for (label, mode, parallel) in MODES {
+    for (label, mode) in MODES {
         group.bench_with_input(BenchmarkId::from_parameter(label), &wl, |b, wl| {
             b.iter(|| {
-                let mut net =
-                    Network::new(&wl.graph, cfg(mode, parallel), |_| DensePing { until: 100 });
+                let mut net = Network::new(&wl.graph, cfg(mode), |_| DensePing { until: 100 });
                 net.run(110);
                 net.stats()
             })
@@ -69,9 +63,9 @@ fn fast_forward(c: &mut Criterion) {
     let wl = workloads::sparse_positive(1024, 32, 901);
     let mut group = c.benchmark_group("fast_forward_sssp");
     group.sample_size(10);
-    for (label, mode, parallel) in MODES {
+    for (label, mode) in MODES {
         group.bench_with_input(BenchmarkId::from_parameter(label), &wl, |b, wl| {
-            b.iter(|| pipeline::short_range_sssp(&wl.graph, 0, 48, wl.delta, cfg(mode, parallel)))
+            b.iter(|| pipeline::short_range_sssp(&wl.graph, 0, 48, wl.delta, cfg(mode)))
         });
     }
     group.finish();

@@ -118,14 +118,6 @@ pub fn standard_modes() -> Vec<(&'static str, EngineConfig)> {
             },
         ),
         ("active_set", EngineConfig::default()),
-        (
-            "active_set_par",
-            EngineConfig {
-                parallel_threshold: 256,
-                threads: 4,
-                ..EngineConfig::default()
-            },
-        ),
     ]
 }
 
@@ -179,23 +171,13 @@ pub fn run_all(modes: &[(&'static str, EngineConfig)]) -> Vec<Measurement> {
 }
 
 /// The engine modes measured on the n≥50k scale workloads: the active-set
-/// configurations only. `ExhaustivePoll` at this size mostly measures the
+/// configuration only. `ExhaustivePoll` at this size mostly measures the
 /// poll loop itself (50k `earliest_send` queries per round for a frontier
 /// of a few hundred active nodes — the regime the scheduler exists to
 /// avoid) and would stretch the bench pass by minutes without gating
 /// anything the smaller `dense_ping` workload doesn't already cover.
 pub fn scale_modes() -> Vec<(&'static str, EngineConfig)> {
-    vec![
-        ("active_set", EngineConfig::default()),
-        (
-            "active_set_par",
-            EngineConfig {
-                parallel_threshold: 256,
-                threads: 4,
-                ..EngineConfig::default()
-            },
-        ),
-    ]
+    vec![("active_set", EngineConfig::default())]
 }
 
 /// The n≥50k scale workload set behind the `scale_*` entries of

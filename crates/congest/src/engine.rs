@@ -19,6 +19,10 @@
 //! lockstep simulation: the poll set, delivery into in-memory inboxes
 //! (where fault decisions are applied), and quiet-round fast-forward.
 //!
+//! Every phase runs on the calling thread. The cost model is the CONGEST
+//! round, which host threads cannot change; on the small machines this
+//! simulator targets, splitting a round across threads lost wall time.
+//!
 //! Hot paths are allocation-free in steady state: per-node [`Outbox`]
 //! buffers are reused round to round, inboxes live in a recycled
 //! [`Slab`] (a node holds a buffer only between its first delivery and
@@ -26,33 +30,25 @@
 //! `n`), delivery marks a dirty-inbox list so the receive phase and the
 //! late-delivery sort touch only mailboxes that actually got mail, and a
 //! broadcast allocates its payload exactly once (shared via `Arc` with
-//! index-only fan-out — no per-recipient clone). The parallel phases run
-//! on a persistent [`WorkerPool`] with chunk-ordered writes into
-//! disjoint slots, replacing per-round thread spawns.
+//! index-only fan-out — no per-recipient clone).
 //!
-//! For scale, the active-set schedule is **sharded**: nodes are split
-//! into contiguous chunks (aligned with the worker-pool partitions),
-//! each with its own lazy min-heap, so the schedule refresh — the
-//! per-round `earliest_send` queries — parallelizes with disjoint
-//! writes. Soundness is unchanged: each shard's heap maintains the exact
-//! invariant the global heap did, restricted to its node range, and the
-//! due set is the (sorted) union of the per-shard pops, which is the
-//! same set the global heap would pop. A **density fallback** switches
-//! to exhaustive polling while almost every node is active each round
-//! (see [`EngineConfig::dense_poll_fraction`]): polling a node early is
-//! a no-op under the `earliest_send` contract, so the fallback is
+//! A **density fallback** switches to exhaustive polling while almost
+//! every node is active each round (see
+//! [`EngineConfig::dense_poll_fraction`]): polling a node early is a
+//! no-op under the `earliest_send` contract, so the fallback is
 //! bit-identical while skipping all heap bookkeeping on dense rounds.
+//!
+//! [`Outbox`]: crate::outbox::Outbox
 
 use crate::slab::{Slab, SlabRef};
 
 use crate::fault::{FaultAction, FaultPlan};
 use crate::message::Envelope;
 use crate::metrics::RunStats;
-use crate::pool::{Ptr, WorkerPool};
 use crate::protocol::{Protocol, Round};
 use crate::runner::{NodeRunner, SendSink};
 use dw_graph::{NodeId, WGraph};
-use dw_obs::Recorder;
+use dw_obs::{NullRecorder, Recorder};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
@@ -70,7 +66,9 @@ pub enum SchedulingMode {
     ExhaustivePoll,
 }
 
-/// Engine configuration.
+/// Engine configuration. `scheduling` and `dense_poll_fraction` only
+/// choose how the poll set is built — every choice yields a bit-identical
+/// run; the other fields change what the run does.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Per-message word budget (a word = one `O(log n)`-bit quantity).
@@ -80,27 +78,11 @@ pub struct EngineConfig {
     /// bandwidth constraint). Always leave on; exposed for the failure
     /// injection tests.
     pub enforce_link_capacity: bool,
-    /// Use the thread-parallel send/receive phases when the number of
-    /// nodes scheduled in a round (active senders, resp. dirty inboxes)
-    /// is at least this threshold. `usize::MAX` disables parallelism.
-    /// Under [`SchedulingMode::ActiveSet`] this counts *active* nodes,
-    /// not `n` — idle-heavy workloads stay on the cheap sequential path
-    /// even on huge graphs.
-    pub parallel_threshold: usize,
-    /// Worker threads for the parallel phases (the calling thread counts
-    /// toward this number; the persistent pool holds `threads - 1`).
-    pub threads: usize,
     /// Node polling strategy; see [`SchedulingMode`].
     pub scheduling: SchedulingMode,
-    /// Number of contiguous node chunks the active-set schedule is
-    /// sharded into (each with its own lazy min-heap, enabling a
-    /// disjoint-write parallel schedule refresh). `0` means auto: one
-    /// shard per worker thread. Any value yields bit-identical runs —
-    /// this is a layout knob, not a semantic one.
-    pub schedule_shards: usize,
     /// Density fallback threshold for [`SchedulingMode::ActiveSet`]:
     /// when the due set of a round reaches this fraction of `n`, the
-    /// engine stops maintaining the schedule heaps and polls every node
+    /// engine stops maintaining the schedule heap and polls every node
     /// (heap bookkeeping is pure overhead when nearly everyone is active
     /// — the BENCH_5 e2 regression). It returns to heap scheduling — via
     /// a full `earliest_send` rescan — once the fraction of nodes that
@@ -121,12 +103,7 @@ impl Default for EngineConfig {
         EngineConfig {
             max_words: 8,
             enforce_link_capacity: true,
-            parallel_threshold: 1024,
-            threads: std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1),
             scheduling: SchedulingMode::ActiveSet,
-            schedule_shards: 0,
             dense_poll_fraction: 0.5,
             faults: None,
         }
@@ -273,13 +250,10 @@ pub struct Network<'g, P: Protocol> {
     /// Authoritative cached next-send round per node; `Round::MAX` means
     /// dormant (will not send until woken by a receive).
     next_send: Vec<Round>,
-    /// Per-shard lazy min-heaps over `(next_send[v], v)`, shard `s`
-    /// covering node ids `[s * shard_size, (s+1) * shard_size)`. An entry
-    /// is valid iff its round still equals `next_send[v]`; stale entries
-    /// are discarded at pop time.
-    heaps: Vec<BinaryHeap<Reverse<(Round, NodeId)>>>,
-    /// Nodes per schedule shard (the last shard may be short).
-    shard_size: usize,
+    /// Lazy min-heap over `(next_send[v], v)`. An entry is valid iff its
+    /// round still equals `next_send[v]`; stale entries are discarded at
+    /// pop time.
+    heap: BinaryHeap<Reverse<(Round, NodeId)>>,
     /// Density fallback engaged: poll everyone, skip heap bookkeeping.
     dense_mode: bool,
     /// Scratch: nodes polled this round (sorted, deduped).
@@ -291,8 +265,6 @@ pub struct Network<'g, P: Protocol> {
     /// Per-node "sent something this round" flag, consumed by the
     /// schedule refresh (sender-stays-hot fast path).
     sent_flag: Vec<bool>,
-    /// Persistent workers for the parallel phases (created on first use).
-    pool: Option<WorkerPool>,
     last_activity: Round,
     rounds_executed: u64,
     max_round_messages: u64,
@@ -312,19 +284,7 @@ impl<'g, P: Protocol> Network<'g, P> {
         for r in runners.iter_mut() {
             r.init(g);
         }
-        // Schedule shard layout: `0` shards means one per worker thread.
-        // Any layout is bit-identical (the due set is the sorted union of
-        // per-shard pops either way), so this only affects parallelism.
-        let want = if cfg.schedule_shards == 0 {
-            cfg.threads
-        } else {
-            cfg.schedule_shards
-        };
-        let shards = want.clamp(1, n.max(1));
-        let shard_size = n.div_ceil(shards).max(1);
-        let heap_count = if n == 0 { 1 } else { (n - 1) / shard_size + 1 };
-        let mut heaps: Vec<BinaryHeap<Reverse<(Round, NodeId)>>> =
-            (0..heap_count).map(|_| BinaryHeap::new()).collect();
+        let mut heap = BinaryHeap::new();
         // Seed the active-set schedule from the post-init node states.
         let mut next_send = vec![Round::MAX; n];
         if cfg.scheduling == SchedulingMode::ActiveSet {
@@ -332,7 +292,7 @@ impl<'g, P: Protocol> Network<'g, P> {
                 if let Some(r) = runner.earliest_send(1, g) {
                     debug_assert!(r >= 1, "earliest_send must be >= after");
                     next_send[v] = r;
-                    heaps[v / shard_size].push(Reverse((r, v as NodeId)));
+                    heap.push(Reverse((r, v as NodeId)));
                 }
             }
         }
@@ -344,14 +304,12 @@ impl<'g, P: Protocol> Network<'g, P> {
             slab: Slab::new(),
             inbox_ref: vec![SlabRef::NONE; n],
             next_send,
-            heaps,
-            shard_size,
+            heap,
             dense_mode: false,
             active_scratch: Vec::new(),
             dirty: Vec::new(),
             inbox_mark: vec![0; n],
             sent_flag: vec![false; n],
-            pool: None,
             last_activity: 0,
             rounds_executed: 0,
             max_round_messages: 0,
@@ -479,19 +437,17 @@ impl<'g, P: Protocol> Network<'g, P> {
                 active.extend(0..n as NodeId);
             }
             SchedulingMode::ActiveSet => {
-                let next_send = &self.next_send;
-                for heap in self.heaps.iter_mut() {
-                    while let Some(&Reverse((r, v))) = heap.peek() {
-                        if r > round {
-                            break;
-                        }
-                        heap.pop();
-                        // Stale entries (superseded schedule) are discarded.
-                        if next_send[v as usize] == r {
-                            active.push(v);
-                        }
+                while let Some(&Reverse((r, v))) = self.heap.peek() {
+                    if r > round {
+                        break;
+                    }
+                    self.heap.pop();
+                    // Stale entries (superseded schedule) are discarded.
+                    if self.next_send[v as usize] == r {
+                        active.push(v);
                     }
                 }
+                // Pops come out in (round, id) order; poll in id order.
                 active.sort_unstable();
                 active.dedup();
                 // Dense-entry check: when almost everyone is due, heap
@@ -505,21 +461,15 @@ impl<'g, P: Protocol> Network<'g, P> {
         }
 
         // --- send phase (into the persistent outboxes) ---
-        let parallel = active.len() >= self.cfg.parallel_threshold && self.cfg.threads > 1;
-        if parallel {
-            self.send_phase_parallel(round, &active);
-        } else {
-            let g = self.g;
-            for &v in &active {
-                self.runners[v as usize].poll_send(round, g);
-            }
+        let g = self.g;
+        for &v in &active {
+            self.runners[v as usize].poll_send(round, g);
         }
 
-        // --- delivery (sequential: validates constraints, deterministic) ---
+        // --- delivery (validates constraints, applies faults) ---
         let mut sent_this_round = 0u64;
         let mut senders = 0usize;
         {
-            let g = self.g;
             let mut sink = EngineSink {
                 slab: &mut self.slab,
                 inbox_ref: &mut self.inbox_ref,
@@ -574,44 +524,22 @@ impl<'g, P: Protocol> Network<'g, P> {
             }
         }
         dirty.sort_unstable();
-        if !dirty.is_empty() {
-            let par_recv = dirty.len() >= self.cfg.parallel_threshold && self.cfg.threads > 1;
-            if par_recv {
-                self.receive_phase_parallel(round, &dirty);
-            } else {
-                let runners = &mut self.runners;
-                let slab = &self.slab;
-                let g = self.g;
-                for &v in &dirty {
-                    let i = v as usize;
-                    runners[i].receive(round, slab.get(self.inbox_ref[i]), g);
-                }
-            }
-            // Return every touched buffer to the pool (cheap: the parallel
-            // path already cleared them; release just recycles the slot).
-            for &v in &dirty {
-                let i = v as usize;
-                self.slab.release(self.inbox_ref[i]);
-                self.inbox_ref[i] = SlabRef::NONE;
-            }
+        for &v in &dirty {
+            let i = v as usize;
+            self.runners[i].receive(round, self.slab.get(self.inbox_ref[i]), g);
+            self.slab.release(self.inbox_ref[i]);
+            self.inbox_ref[i] = SlabRef::NONE;
         }
 
         // --- schedule refresh: polled nodes and woken (dirty) nodes ---
         if self.cfg.scheduling == SchedulingMode::ActiveSet && !self.dense_mode {
-            let par_refresh = active.len() + dirty.len() >= self.cfg.parallel_threshold
-                && self.cfg.threads > 1
-                && self.heaps.len() > 1;
-            if par_refresh {
-                self.refresh_schedule_parallel(round, &active, &dirty);
-            } else {
-                self.refresh_schedule(round, &active, &dirty);
-            }
+            self.refresh_schedule(round, &active, &dirty);
         } else if self.cfg.scheduling == SchedulingMode::ActiveSet {
             // Dense exit (hysteresis): once actual senders drop below half
             // the entry fraction, heap scheduling pays again. A full
             // rescan re-seeds the schedule. A quiet round (zero senders)
             // exits unconditionally — even at threshold 0 — so `run`'s
-            // fast-forward only ever consults the heaps in non-dense
+            // fast-forward only ever consults the heap in non-dense
             // state.
             if senders == 0 || (senders as f64) < self.cfg.dense_poll_fraction * 0.5 * n as f64 {
                 self.rebuild_schedule(round);
@@ -628,88 +556,13 @@ impl<'g, P: Protocol> Network<'g, P> {
         sent_this_round
     }
 
-    /// Create the persistent worker pool on first parallel phase.
-    fn ensure_pool(&mut self) {
-        if self.pool.is_none() {
-            // The calling thread executes jobs too, so the pool holds one
-            // worker fewer than the configured parallelism.
-            self.pool = Some(WorkerPool::new(self.cfg.threads.saturating_sub(1)));
-        }
-    }
-
-    fn send_phase_parallel(&mut self, round: Round, active: &[NodeId]) {
-        self.ensure_pool();
-        let g = self.g;
-        let chunk = active.len().div_ceil(self.cfg.threads).max(1);
-        let runners = Ptr(self.runners.as_mut_ptr());
-        let pool = self.pool.as_ref().expect("pool just created");
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = active
-            .chunks(chunk)
-            .map(|ch| {
-                Box::new(move || {
-                    for &v in ch {
-                        // SAFETY: active ids are sorted+deduped and chunks
-                        // are disjoint, so each index is touched by exactly
-                        // one job; pool.run blocks until all jobs finish.
-                        let runner = unsafe { runners.at(v as usize) };
-                        runner.poll_send(round, g);
-                    }
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        pool.run(jobs);
-    }
-
-    fn receive_phase_parallel(&mut self, round: Round, dirty: &[NodeId]) {
-        self.ensure_pool();
-        let g = self.g;
-        let chunk = dirty.len().div_ceil(self.cfg.threads).max(1);
-        let runners = Ptr(self.runners.as_mut_ptr());
-        let (bufs, gens) = self.slab.raw_parts();
-        let refs: &[SlabRef] = &self.inbox_ref;
-        let pool = self.pool.as_ref().expect("pool just created");
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = dirty
-            .chunks(chunk)
-            .map(|ch| {
-                Box::new(move || {
-                    for &v in ch {
-                        // SAFETY: dirty ids are sorted and unique (stamp
-                        // dedup), each holds a distinct live slab slot, and
-                        // chunks are disjoint — so each runner index and
-                        // each slot index is touched by exactly one job;
-                        // pool.run blocks until all jobs finish.
-                        let r = refs[v as usize];
-                        debug_assert_eq!(
-                            gens[r.slot()],
-                            r.generation(),
-                            "stale slab handle in parallel receive"
-                        );
-                        let runner = unsafe { runners.at(v as usize) };
-                        let inbox = unsafe { bufs.at(r.slot()) };
-                        runner.receive(round, inbox, g);
-                        inbox.clear();
-                    }
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        pool.run(jobs);
-    }
-
-    /// Shard index owning node `v`.
-    #[inline]
-    fn shard_of(&self, v: NodeId) -> usize {
-        v as usize / self.shard_size
-    }
-
-    /// Sequential schedule refresh after round `round`: reinstall heap
-    /// entries for polled nodes, re-query woken (dirty-but-not-polled)
-    /// nodes.
+    /// Schedule refresh after round `round`: reinstall heap entries for
+    /// polled nodes, re-query woken (dirty-but-not-polled) nodes.
     fn refresh_schedule(&mut self, round: Round, active: &[NodeId], dirty: &[NodeId]) {
         let g = self.g;
         for &v in active {
             // Popped nodes lost their heap entry; always reinstall.
             let i = v as usize;
-            let shard = self.shard_of(v);
             if self.sent_flag[i] {
                 // Sender-stays-hot: a node that sent this round is
                 // simply re-polled next round instead of paying an
@@ -724,14 +577,14 @@ impl<'g, P: Protocol> Network<'g, P> {
                 // a busy (non-jumping) round.
                 self.sent_flag[i] = false;
                 self.next_send[i] = round + 1;
-                self.heaps[shard].push(Reverse((round + 1, v)));
+                self.heap.push(Reverse((round + 1, v)));
                 continue;
             }
             match self.runners[i].earliest_send(round + 1, g) {
                 Some(r) => {
                     debug_assert!(r > round, "earliest_send must be in the future");
                     self.next_send[i] = r;
-                    self.heaps[shard].push(Reverse((r, v)));
+                    self.heap.push(Reverse((r, v)));
                 }
                 None => self.next_send[i] = Round::MAX,
             }
@@ -748,8 +601,7 @@ impl<'g, P: Protocol> Network<'g, P> {
                 self.next_send[i] = r_new;
                 if r_new != Round::MAX {
                     debug_assert!(r_new > round, "earliest_send must be in the future");
-                    let shard = self.shard_of(v);
-                    self.heaps[shard].push(Reverse((r_new, v)));
+                    self.heap.push(Reverse((r_new, v)));
                 }
                 // The superseded heap entry (if any) is now stale and
                 // will be discarded at pop time.
@@ -757,95 +609,17 @@ impl<'g, P: Protocol> Network<'g, P> {
         }
     }
 
-    /// Parallel schedule refresh: one job per shard, operating on the
-    /// shard's contiguous subranges of `active` and `dirty` with disjoint
-    /// writes into its own heap / `next_send` / `sent_flag` slots.
-    ///
-    /// Bit-identical to [`Network::refresh_schedule`]: that loop visits
-    /// active (sorted) then dirty (sorted), so restricted to one shard it
-    /// performs exactly the insertion sequence the shard job performs,
-    /// and heap contents per shard are therefore identical. The pop order
-    /// across shards is re-sorted into the global order at poll time.
-    fn refresh_schedule_parallel(&mut self, round: Round, active: &[NodeId], dirty: &[NodeId]) {
-        self.ensure_pool();
-        let g = self.g;
-        let shard_size = self.shard_size;
-        let heaps = Ptr(self.heaps.as_mut_ptr());
-        let next_send = Ptr(self.next_send.as_mut_ptr());
-        let sent_flag = Ptr(self.sent_flag.as_mut_ptr());
-        let runners = Ptr(self.runners.as_mut_ptr());
-        let pool = self.pool.as_ref().expect("pool just created");
-        let shard_count = self.heaps.len();
-        let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(shard_count);
-        let (mut a_lo, mut d_lo) = (0usize, 0usize);
-        for s in 0..shard_count {
-            let hi = ((s + 1) * shard_size) as NodeId;
-            let a_hi = a_lo + active[a_lo..].partition_point(|&v| v < hi);
-            let d_hi = d_lo + dirty[d_lo..].partition_point(|&v| v < hi);
-            let (active_s, dirty_s) = (&active[a_lo..a_hi], &dirty[d_lo..d_hi]);
-            (a_lo, d_lo) = (a_hi, d_hi);
-            if active_s.is_empty() && dirty_s.is_empty() {
-                continue;
-            }
-            jobs.push(Box::new(move || {
-                // SAFETY: all node ids here lie in shard `s`'s range and
-                // shard ranges are disjoint, so each runner, `next_send` /
-                // `sent_flag` slot, and the shard heap are touched by
-                // exactly one job; pool.run blocks until all jobs finish.
-                let heap = unsafe { heaps.at(s) };
-                for &v in active_s {
-                    let i = v as usize;
-                    let flag = unsafe { sent_flag.at(i) };
-                    if *flag {
-                        *flag = false;
-                        *unsafe { next_send.at(i) } = round + 1;
-                        heap.push(Reverse((round + 1, v)));
-                        continue;
-                    }
-                    let runner = unsafe { runners.at(i) };
-                    match runner.earliest_send(round + 1, g) {
-                        Some(r) => {
-                            debug_assert!(r > round, "earliest_send must be in the future");
-                            *unsafe { next_send.at(i) } = r;
-                            heap.push(Reverse((r, v)));
-                        }
-                        None => *unsafe { next_send.at(i) } = Round::MAX,
-                    }
-                }
-                for &v in dirty_s {
-                    if active_s.binary_search(&v).is_ok() {
-                        continue;
-                    }
-                    let i = v as usize;
-                    let runner = unsafe { runners.at(i) };
-                    let r_new = runner.earliest_send(round + 1, g).unwrap_or(Round::MAX);
-                    let slot = unsafe { next_send.at(i) };
-                    if r_new != *slot {
-                        *slot = r_new;
-                        if r_new != Round::MAX {
-                            debug_assert!(r_new > round, "earliest_send must be in the future");
-                            heap.push(Reverse((r_new, v)));
-                        }
-                    }
-                }
-            }) as Box<dyn FnOnce() + Send + '_>);
-        }
-        pool.run(jobs);
-    }
-
-    /// Re-seed the schedule from scratch (dense-mode exit): clear every
-    /// shard heap and re-query `earliest_send` for all nodes.
+    /// Re-seed the schedule from scratch (dense-mode exit): clear the
+    /// heap and re-query `earliest_send` for all nodes.
     fn rebuild_schedule(&mut self, round: Round) {
         let g = self.g;
-        for heap in self.heaps.iter_mut() {
-            heap.clear();
-        }
+        self.heap.clear();
         for (v, runner) in self.runners.iter().enumerate() {
             match runner.earliest_send(round + 1, g) {
                 Some(r) => {
                     debug_assert!(r > round, "earliest_send must be in the future");
                     self.next_send[v] = r;
-                    self.heaps[v / self.shard_size].push(Reverse((r, v as NodeId)));
+                    self.heap.push(Reverse((r, v as NodeId)));
                 }
                 None => self.next_send[v] = Round::MAX,
             }
@@ -867,26 +641,20 @@ impl<'g, P: Protocol> Network<'g, P> {
     }
 
     /// Earliest future send round across all nodes, from the schedule
-    /// heaps ([`SchedulingMode::ActiveSet`]'s quiet path): per shard,
-    /// discard stale tops then peek; take the minimum over shards.
-    /// O(stale log n) amortized instead of O(n). Only called in non-dense
-    /// state (a quiet round always exits dense mode first).
+    /// heap ([`SchedulingMode::ActiveSet`]'s quiet path): discard stale
+    /// tops, then peek. O(stale log n) amortized instead of O(n). Only
+    /// called in non-dense state (a quiet round always exits dense mode
+    /// first).
     fn next_scheduled(&mut self) -> Option<Round> {
         debug_assert!(!self.dense_mode, "quiet rounds exit dense mode");
-        let round = self.round;
-        let next_send = &self.next_send;
-        let mut next: Option<Round> = None;
-        for heap in self.heaps.iter_mut() {
-            while let Some(&Reverse((r, v))) = heap.peek() {
-                if next_send[v as usize] == r {
-                    debug_assert!(r > round, "schedule must be in the future");
-                    next = Some(next.map_or(r, |cur| cur.min(r)));
-                    break;
-                }
-                heap.pop();
+        while let Some(&Reverse((r, v))) = self.heap.peek() {
+            if self.next_send[v as usize] == r {
+                debug_assert!(r > self.round, "schedule must be in the future");
+                return Some(r);
             }
+            self.heap.pop();
         }
-        next
+        None
     }
 
     /// Run until the protocol goes quiet or `max_rounds` have elapsed.
@@ -894,12 +662,25 @@ impl<'g, P: Protocol> Network<'g, P> {
     /// Silent rounds are fast-forwarded using [`Protocol::earliest_send`]:
     /// they count toward the round complexity but are not simulated.
     pub fn run(&mut self, max_rounds: Round) -> RunOutcome {
+        self.run_recorded(max_rounds, &mut NullRecorder)
+    }
+
+    /// As [`Network::run`], emitting one [`Recorder::round`] event per
+    /// *executed* round that carried messages (fast-forwarded silent
+    /// rounds produce no event).
+    pub fn run_recorded<R: Recorder + ?Sized>(
+        &mut self,
+        max_rounds: Round,
+        rec: &mut R,
+    ) -> RunOutcome {
         loop {
             if self.round >= max_rounds {
                 return RunOutcome::BudgetExhausted;
             }
             let sent = self.step_one();
-            if sent == 0 {
+            if sent > 0 {
+                rec.round(self.round, sent);
+            } else {
                 // Nothing moved. When might any node next send?
                 let mut next = match self.cfg.scheduling {
                     SchedulingMode::ExhaustivePoll => self.scan_earliest(),
@@ -915,42 +696,6 @@ impl<'g, P: Protocol> Network<'g, P> {
                     None => return RunOutcome::Quiet,
                     Some(r) => {
                         // Jump to just before round r (bounded by budget).
-                        let target = r.min(max_rounds + 1) - 1;
-                        if target > self.round {
-                            self.round = target;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// As [`Network::run`], emitting one [`Recorder::round`] event per
-    /// *executed* round (fast-forwarded silent rounds produce no event).
-    ///
-    /// Deliberately a separate loop rather than an `Option<&mut dyn
-    /// Recorder>` parameter on [`Network::run`]: the unrecorded path —
-    /// every default entry point — keeps exactly the instruction stream
-    /// it had before observability existed.
-    pub fn run_recorded(&mut self, max_rounds: Round, rec: &mut dyn Recorder) -> RunOutcome {
-        loop {
-            if self.round >= max_rounds {
-                return RunOutcome::BudgetExhausted;
-            }
-            let sent = self.step_one();
-            if sent > 0 {
-                rec.round(self.round, sent);
-            } else {
-                let mut next = match self.cfg.scheduling {
-                    SchedulingMode::ExhaustivePoll => self.scan_earliest(),
-                    SchedulingMode::ActiveSet => self.next_scheduled(),
-                };
-                if let Some((&due, _)) = self.pending.first_key_value() {
-                    next = Some(next.map_or(due, |cur| cur.min(due)));
-                }
-                match next {
-                    None => return RunOutcome::Quiet,
-                    Some(r) => {
                         let target = r.min(max_rounds + 1) - 1;
                         if target > self.round {
                             self.round = target;
@@ -1127,21 +872,6 @@ mod tests {
         let event_msgs: u64 = r.rounds.iter().map(|&(_, m)| m).sum();
         assert_eq!(event_msgs, recorded.stats().messages);
         assert_eq!(r.spans[0].stats, recorded.stats());
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let g = gen::gnp_connected(64, 0.08, false, WeightDist::Constant(1), 9);
-        let seq = flood_net(&g, EngineConfig::default());
-        let par = flood_net(
-            &g,
-            EngineConfig {
-                parallel_threshold: 1,
-                threads: 4,
-                ..EngineConfig::default()
-            },
-        );
-        assert_eq!(seq, par);
     }
 
     #[test]

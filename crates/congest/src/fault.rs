@@ -212,8 +212,8 @@ impl FaultPlan {
     }
 
     /// The deterministic per-message seed: a SplitMix64 chain over the plan
-    /// seed and the message coordinates. Order-independent, so sequential
-    /// and parallel engines agree.
+    /// seed and the message coordinates. Order-independent, so every
+    /// runtime agrees whatever order it delivers messages in.
     fn event_seed(&self, u: NodeId, v: NodeId, round: Round) -> u64 {
         fn splitmix(mut z: u64) -> u64 {
             z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);

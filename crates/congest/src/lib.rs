@@ -13,7 +13,7 @@
 //! What this crate provides:
 //!
 //! * [`Protocol`] — the per-node program trait (send phase / receive phase);
-//! * [`Network`] — the round engine, sequential or thread-parallel, with
+//! * [`Network`] — the single-threaded round engine, with
 //!   **hard enforcement** of the one-message-per-link-per-round and
 //!   message-size constraints, schedule fast-forwarding for pipelined
 //!   protocols with sparse send schedules, and full metrics (rounds,
@@ -31,7 +31,6 @@ pub mod fault;
 pub mod message;
 pub mod metrics;
 pub mod outbox;
-pub mod pool;
 pub mod primitives;
 pub mod protocol;
 pub mod reliable;

@@ -26,17 +26,6 @@ impl SlabRef {
         idx: u32::MAX,
         gen: u32::MAX,
     };
-
-    /// Raw slot index, for use with [`Slab::raw_parts`] (validate against
-    /// the generation table via [`SlabRef::generation`]).
-    pub(crate) fn slot(&self) -> usize {
-        self.idx as usize
-    }
-
-    /// The generation this handle was issued under.
-    pub(crate) fn generation(&self) -> u32 {
-        self.gen
-    }
 }
 
 /// A pool of recycled `Vec<T>` buffers. See the module docs.
@@ -116,14 +105,6 @@ impl<T> Slab<T> {
         self.gens[i] = self.gens[i].wrapping_add(1);
         self.free.push(r.idx);
         self.live -= 1;
-    }
-
-    /// Raw parts for the parallel receive phase: a disjoint-write pointer
-    /// over the slot buffers plus the generation table for handle
-    /// validation inside jobs. Caller contract as for [`Ptr`]: each slot
-    /// index is touched by at most one job.
-    pub(crate) fn raw_parts(&mut self) -> (crate::pool::Ptr<Vec<T>>, &[u32]) {
-        (crate::pool::Ptr(self.bufs.as_mut_ptr()), &self.gens)
     }
 
     /// Buffers currently checked out.

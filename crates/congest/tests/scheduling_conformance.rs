@@ -1,8 +1,7 @@
 //! Scheduling conformance: active-set scheduling must be bit-identical to
 //! exhaustive polling — same `RunStats` (including `rounds_executed`),
 //! same per-round traces, same final protocol states — across random
-//! graphs, random fault plans, and both the sequential and the
-//! thread-parallel execution paths.
+//! graphs, random fault plans, and density-fallback thresholds.
 //!
 //! The protocol under test has a deliberately nasty schedule: sparse
 //! phased first sends, receive-triggered re-announcements after a
@@ -101,28 +100,20 @@ fn arb_plan() -> impl Strategy<Value = Option<FaultPlan>> {
         })
 }
 
-fn config(mode: SchedulingMode, parallel: bool, faults: Option<FaultPlan>) -> EngineConfig {
+fn config(mode: SchedulingMode, faults: Option<FaultPlan>) -> EngineConfig {
     EngineConfig {
         scheduling: mode,
-        parallel_threshold: if parallel { 1 } else { usize::MAX },
-        threads: 4,
         faults,
         ..EngineConfig::default()
     }
 }
 
-/// As [`config`], additionally pinning the schedule-shard count and the
-/// density-fallback threshold (`> 1.0` disables the fallback entirely).
-fn config_scaled(
-    parallel: bool,
-    faults: Option<FaultPlan>,
-    shards: usize,
-    dense_fraction: f64,
-) -> EngineConfig {
+/// Active-set scheduling with a pinned density-fallback threshold
+/// (`> 1.0` disables the fallback entirely).
+fn config_dense(faults: Option<FaultPlan>, dense_fraction: f64) -> EngineConfig {
     EngineConfig {
-        schedule_shards: shards,
         dense_poll_fraction: dense_fraction,
-        ..config(SchedulingMode::ActiveSet, parallel, faults)
+        ..config(SchedulingMode::ActiveSet, faults)
     }
 }
 
@@ -160,18 +151,12 @@ proptest! {
         g in arb_graph(), plan in arb_plan()
     ) {
         let (n_ex, s_ex, t_ex) = traced(
-            &g, config(SchedulingMode::ExhaustivePoll, false, plan.clone()), 60);
+            &g, config(SchedulingMode::ExhaustivePoll, plan.clone()), 60);
         let (n_as, s_as, t_as) = traced(
-            &g, config(SchedulingMode::ActiveSet, false, plan.clone()), 60);
+            &g, config(SchedulingMode::ActiveSet, plan), 60);
         prop_assert_eq!(&n_ex, &n_as, "node states diverged");
         prop_assert_eq!(&s_ex, &s_as, "stats diverged");
         prop_assert_eq!(t_ex.records(), t_as.records(), "traces diverged");
-        // And the parallel active-set path agrees too.
-        let (n_p, s_p, t_p) = traced(
-            &g, config(SchedulingMode::ActiveSet, true, plan), 60);
-        prop_assert_eq!(&n_as, &n_p, "parallel node states diverged");
-        prop_assert_eq!(&s_as, &s_p, "parallel stats diverged");
-        prop_assert_eq!(t_as.records(), t_p.records(), "parallel traces diverged");
     }
 
     // Full runs: the fast-forward decisions (which rounds are simulated at
@@ -182,60 +167,44 @@ proptest! {
         g in arb_graph(), plan in arb_plan(), budget in 20u64..=200
     ) {
         let (n_ex, s_ex, o_ex) = full_run(
-            &g, config(SchedulingMode::ExhaustivePoll, false, plan.clone()), budget);
+            &g, config(SchedulingMode::ExhaustivePoll, plan.clone()), budget);
         let (n_as, s_as, o_as) = full_run(
-            &g, config(SchedulingMode::ActiveSet, false, plan.clone()), budget);
+            &g, config(SchedulingMode::ActiveSet, plan), budget);
         prop_assert_eq!(o_ex, o_as, "outcome diverged");
         prop_assert_eq!(&n_ex, &n_as, "node states diverged");
         prop_assert_eq!(&s_ex, &s_as, "stats diverged (incl. rounds_executed)");
-        let (n_p, s_p, o_p) = full_run(
-            &g, config(SchedulingMode::ActiveSet, true, plan), budget);
-        prop_assert_eq!(o_as, o_p);
-        prop_assert_eq!(&n_as, &n_p);
-        prop_assert_eq!(&s_as, &s_p);
     }
 
-    // The schedule-shard count is a pure layout knob and the density
-    // fallback is a pure fast path: every combination of shard count
-    // {1, 2, n}, fallback threshold (always-dense 0.0, default-ish 0.4,
-    // disabled 2.0), and sequential/parallel execution must reproduce the
-    // exhaustive-poll reference bit for bit — stats (incl.
+    // The density fallback is a pure fast path: every fallback threshold
+    // (always-dense 0.0, default-ish 0.4, disabled 2.0) must reproduce
+    // the exhaustive-poll reference bit for bit — stats (incl.
     // `rounds_executed`, so the fast-forward decisions match), traces,
     // and final node states — under faults too.
     #[test]
-    fn shard_layout_and_density_fallback_bit_identical(
+    fn density_fallback_thresholds_bit_identical(
         g in arb_graph(), plan in arb_plan(), budget in 20u64..=200
     ) {
-        let n = g.n();
         let (n_ex, s_ex, t_ex) = traced(
-            &g, config(SchedulingMode::ExhaustivePoll, false, plan.clone()), 60);
+            &g, config(SchedulingMode::ExhaustivePoll, plan.clone()), 60);
         let (fn_ex, fs_ex, fo_ex) = full_run(
-            &g, config(SchedulingMode::ExhaustivePoll, false, plan.clone()), budget);
-        for shards in [1usize, 2, n] {
-            for dense in [0.0f64, 0.4, 2.0] {
-                for parallel in [false, true] {
-                    let label = format!("shards={shards} dense={dense} parallel={parallel}");
-                    let (n_s, s_s, t_s) = traced(
-                        &g, config_scaled(parallel, plan.clone(), shards, dense), 60);
-                    prop_assert_eq!(&n_ex, &n_s, "stepped states diverged: {}", &label);
-                    prop_assert_eq!(&s_ex, &s_s, "stepped stats diverged: {}", &label);
-                    prop_assert_eq!(
-                        t_ex.records(), t_s.records(), "traces diverged: {}", &label);
-                    let (fn_s, fs_s, fo_s) = full_run(
-                        &g, config_scaled(parallel, plan.clone(), shards, dense), budget);
-                    prop_assert_eq!(fo_ex, fo_s, "outcome diverged: {}", &label);
-                    prop_assert_eq!(&fn_ex, &fn_s, "full-run states diverged: {}", &label);
-                    prop_assert_eq!(&fs_ex, &fs_s, "full-run stats diverged: {}", &label);
-                }
-            }
+            &g, config(SchedulingMode::ExhaustivePoll, plan.clone()), budget);
+        for dense in [0.0f64, 0.4, 2.0] {
+            let label = format!("dense={dense}");
+            let (n_s, s_s, t_s) = traced(&g, config_dense(plan.clone(), dense), 60);
+            prop_assert_eq!(&n_ex, &n_s, "stepped states diverged: {}", &label);
+            prop_assert_eq!(&s_ex, &s_s, "stepped stats diverged: {}", &label);
+            prop_assert_eq!(t_ex.records(), t_s.records(), "traces diverged: {}", &label);
+            let (fn_s, fs_s, fo_s) = full_run(&g, config_dense(plan.clone(), dense), budget);
+            prop_assert_eq!(fo_ex, fo_s, "outcome diverged: {}", &label);
+            prop_assert_eq!(&fn_ex, &fn_s, "full-run states diverged: {}", &label);
+            prop_assert_eq!(&fs_ex, &fs_s, "full-run stats diverged: {}", &label);
         }
     }
 }
 
 /// Deterministic density-fallback crossing: a protocol whose active
 /// fraction swings from everyone (flood wave) to a sparse trickle forces
-/// both the dense-entry and the hysteresis exit transition, at several
-/// shard layouts.
+/// both the dense-entry and the hysteresis exit transition.
 #[test]
 fn density_fallback_transitions_are_bit_identical() {
     for (name, g) in [
@@ -245,20 +214,42 @@ fn density_fallback_transitions_are_bit_identical() {
             gen::gnp_connected(40, 0.15, false, WeightDist::Uniform { max: 4 }, 11),
         ),
     ] {
-        let (n_ex, s_ex, o_ex) = full_run(
-            &g,
-            config(SchedulingMode::ExhaustivePoll, false, None),
-            5_000,
-        );
-        for shards in [1usize, 3, g.n()] {
-            // Threshold low enough that the initial flood enters dense
-            // mode and the trailing re-announcement trickle exits it.
-            let (n_s, s_s, o_s) = full_run(&g, config_scaled(false, None, shards, 0.25), 5_000);
-            assert_eq!(o_ex, o_s, "{name}/shards={shards}: outcome");
-            assert_eq!(s_ex, s_s, "{name}/shards={shards}: stats");
-            assert_eq!(n_ex, n_s, "{name}/shards={shards}: states");
-        }
+        let (n_ex, s_ex, o_ex) = full_run(&g, config(SchedulingMode::ExhaustivePoll, None), 5_000);
+        // Threshold low enough that the initial flood enters dense mode
+        // and the trailing re-announcement trickle exits it.
+        let (n_s, s_s, o_s) = full_run(&g, config_dense(None, 0.25), 5_000);
+        assert_eq!(o_ex, o_s, "{name}: outcome");
+        assert_eq!(s_ex, s_s, "{name}: stats");
+        assert_eq!(n_ex, n_s, "{name}: states");
     }
+}
+
+/// The wide-frontier regime at scale, with the density fallback disabled
+/// so the heap alone schedules every round: over a thousand nodes are
+/// due at once, and the active set must still match exhaustive polling
+/// exactly — stepped states, stats and payload traces, and the full
+/// run's outcome, states and stats (so the fast-forward decisions agree).
+#[test]
+fn wide_frontier_heap_matches_exhaustive_poll() {
+    let g = gen::expanderish(4096, 3, WeightDist::Constant(1), 17);
+    let heap_only = config_dense(None, 2.0);
+
+    let (n_ex, s_ex, t_ex) = traced(&g, config(SchedulingMode::ExhaustivePoll, None), 40);
+    let (n_as, s_as, t_as) = traced(&g, heap_only.clone(), 40);
+    let widest = t_ex.records().iter().map(|r| r.senders.len()).max();
+    assert!(
+        widest >= Some(1024),
+        "some round must have >= 1024 due nodes; widest sender set {widest:?}"
+    );
+    assert_eq!(n_ex, n_as, "stepped states");
+    assert_eq!(s_ex, s_as, "stepped stats");
+    assert_eq!(t_ex.records(), t_as.records(), "traces");
+
+    let (fn_ex, fs_ex, fo_ex) = full_run(&g, config(SchedulingMode::ExhaustivePoll, None), 5_000);
+    let (fn_as, fs_as, fo_as) = full_run(&g, heap_only, 5_000);
+    assert_eq!(fo_ex, fo_as, "outcome");
+    assert_eq!(fs_ex, fs_as, "full-run stats");
+    assert_eq!(fn_ex, fn_as, "full-run states");
 }
 
 /// Deterministic spot check on a structured family with a long quiet
@@ -271,13 +262,8 @@ fn fast_forward_rounds_agree_on_structured_graphs() {
         ("star", gen::star(16, false, WeightDist::Constant(1), 1)),
         ("torus", gen::torus(4, 6, WeightDist::Constant(1), 2)),
     ] {
-        let (n_ex, s_ex, o_ex) = full_run(
-            &g,
-            config(SchedulingMode::ExhaustivePoll, false, None),
-            5_000,
-        );
-        let (n_as, s_as, o_as) =
-            full_run(&g, config(SchedulingMode::ActiveSet, false, None), 5_000);
+        let (n_ex, s_ex, o_ex) = full_run(&g, config(SchedulingMode::ExhaustivePoll, None), 5_000);
+        let (n_as, s_as, o_as) = full_run(&g, config(SchedulingMode::ActiveSet, None), 5_000);
         assert_eq!(o_ex, o_as, "{name}: outcome");
         assert_eq!(s_ex, s_as, "{name}: stats");
         assert_eq!(n_ex, n_as, "{name}: states");
@@ -308,13 +294,9 @@ fn brute_force_divergence_hunt() {
             }
             let g = b.build();
             let budget = 20 + (rng() % 180);
-            let (n_ex, s_ex, o_ex) = full_run(
-                &g,
-                config(SchedulingMode::ExhaustivePoll, false, None),
-                budget,
-            );
-            let (n_as, s_as, o_as) =
-                full_run(&g, config(SchedulingMode::ActiveSet, false, None), budget);
+            let (n_ex, s_ex, o_ex) =
+                full_run(&g, config(SchedulingMode::ExhaustivePoll, None), budget);
+            let (n_as, s_as, o_as) = full_run(&g, config(SchedulingMode::ActiveSet, None), budget);
             if s_ex != s_as || n_ex != n_as || o_ex != o_as {
                 panic!("DIVERGED n={n} seed={seed} budget={budget} directed={directed}\nex={s_ex:?}\nas={s_as:?}\ngraph edges: m={m}");
             }

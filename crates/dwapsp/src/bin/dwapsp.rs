@@ -247,15 +247,6 @@ fn cmd_run(get: &impl Fn(&str) -> Option<String>) {
                     st.max_link_load,
                 );
                 print_matrix(&res.to_matrix());
-            } else if rt == Runtime::Sim && delta_flag.is_none() {
-                let (res, st, delta) = apsp_auto(&g, engine);
-                print_stats(
-                    &format!("alg1 apsp (Δ={delta})"),
-                    st.rounds,
-                    st.messages,
-                    st.max_link_load,
-                );
-                print_matrix(&res.to_matrix());
             } else {
                 let delta = delta_flag.unwrap_or_else(|| max_finite_distance(&g).max(1));
                 let cfg = SspConfig::apsp(g.n(), delta);

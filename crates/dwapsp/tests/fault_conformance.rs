@@ -1,5 +1,5 @@
 //! Fault-injection conformance: determinism of the seeded fault layer
-//! across engine execution modes, byte-identity of the zero-fault path,
+//! across engine scheduling strategies, byte-identity of the zero-fault path,
 //! and end-to-end correctness of the recovery stack under drops, delays
 //! and duplicates.
 
@@ -37,34 +37,24 @@ fn arb_plan() -> impl Strategy<Value = FaultPlan> {
     )
 }
 
-/// Run an all-sources Algorithm-1 network round by round (no
-/// fast-forward, so sequential and parallel executions step the exact
-/// same rounds) and capture everything observable: distances, stats and
-/// the full per-round trace.
-fn traced_apsp(
-    g: &WGraph,
-    plan: &FaultPlan,
-    parallel: bool,
-) -> (Vec<Vec<Weight>>, RunStats, RoundTrace) {
-    traced_apsp_mode(g, plan, parallel, SchedulingMode::ActiveSet)
+/// The default engine under fault plan `plan`, with the given
+/// scheduling mode.
+fn faulty(plan: &FaultPlan, scheduling: SchedulingMode) -> EngineConfig {
+    EngineConfig {
+        faults: Some(plan.clone()),
+        scheduling,
+        ..EngineConfig::default()
+    }
 }
 
-fn traced_apsp_mode(
-    g: &WGraph,
-    plan: &FaultPlan,
-    parallel: bool,
-    scheduling: SchedulingMode,
-) -> (Vec<Vec<Weight>>, RunStats, RoundTrace) {
+/// Run an all-sources Algorithm-1 network round by round (no
+/// fast-forward, so every engine configuration steps the exact same
+/// rounds) and capture everything observable: distances, stats and the
+/// full per-round trace.
+fn traced_apsp(g: &WGraph, engine: EngineConfig) -> (Vec<Vec<Weight>>, RunStats, RoundTrace) {
     let delta = max_finite_distance(g).max(1);
     let cfg = SspConfig::apsp(g.n(), delta);
     let gamma = Gamma::new(cfg.k(), cfg.h, cfg.delta);
-    let engine = EngineConfig {
-        faults: Some(plan.clone()),
-        parallel_threshold: if parallel { 1 } else { usize::MAX },
-        threads: 4,
-        scheduling,
-        ..EngineConfig::default()
-    };
     let mut net = Network::new(g, engine, |_| {
         PipelinedNode::new(gamma, cfg.h, cfg.k(), true, false)
     });
@@ -87,17 +77,25 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     // The tentpole determinism guarantee: the same seed and the same
-    // fault plan produce bit-identical metrics and traces whether the
-    // engine runs its phases sequentially or thread-parallel.
+    // fault plan produce bit-identical metrics and traces however the
+    // engine picks its poll set — the default density fallback, the
+    // fallback held on (every node polled every round), or disabled (the
+    // schedule heap alone).
     #[test]
     fn same_plan_same_seed_is_bit_identical_across_engines(
         g in arb_graph(), plan in arb_plan()
     ) {
-        let (d1, s1, t1) = traced_apsp(&g, &plan, false);
-        let (d2, s2, t2) = traced_apsp(&g, &plan, true);
-        prop_assert_eq!(d1, d2, "distances diverged across engine modes");
-        prop_assert_eq!(s1, s2, "metrics diverged across engine modes");
-        prop_assert_eq!(t1.records(), t2.records(), "traces diverged");
+        let (d1, s1, t1) = traced_apsp(&g, faulty(&plan, SchedulingMode::ActiveSet));
+        for dense in [0.0f64, 2.0] {
+            let engine = EngineConfig {
+                dense_poll_fraction: dense,
+                ..faulty(&plan, SchedulingMode::ActiveSet)
+            };
+            let (d2, s2, t2) = traced_apsp(&g, engine);
+            prop_assert_eq!(&d1, &d2, "distances diverged at dense={}", dense);
+            prop_assert_eq!(&s1, &s2, "metrics diverged at dense={}", dense);
+            prop_assert_eq!(t1.records(), t2.records(), "traces diverged at dense={}", dense);
+        }
     }
 
     // A pristine plan (fault probabilities all zero) must leave the
@@ -120,31 +118,24 @@ proptest! {
     // Active-set scheduling is an optimization, not a semantics change:
     // on the real Algorithm-1 pipeline under arbitrary fault plans it
     // must produce bit-identical distances, metrics and traces compared
-    // to exhaustively polling every node each round — in both the
-    // sequential and thread-parallel engines.
+    // to exhaustively polling every node each round.
     #[test]
     fn active_set_matches_exhaustive_poll_on_pipeline(
         g in arb_graph(), plan in arb_plan()
     ) {
         let (d_ex, s_ex, t_ex) =
-            traced_apsp_mode(&g, &plan, false, SchedulingMode::ExhaustivePoll);
-        let (d_as, s_as, t_as) =
-            traced_apsp_mode(&g, &plan, false, SchedulingMode::ActiveSet);
+            traced_apsp(&g, faulty(&plan, SchedulingMode::ExhaustivePoll));
+        let (d_as, s_as, t_as) = traced_apsp(&g, faulty(&plan, SchedulingMode::ActiveSet));
         prop_assert_eq!(&d_ex, &d_as, "distances diverged across scheduling modes");
         prop_assert_eq!(&s_ex, &s_as, "metrics diverged across scheduling modes");
         prop_assert_eq!(t_ex.records(), t_as.records(), "traces diverged");
-        let (d_p, s_p, t_p) =
-            traced_apsp_mode(&g, &plan, true, SchedulingMode::ActiveSet);
-        prop_assert_eq!(&d_as, &d_p, "parallel active-set distances diverged");
-        prop_assert_eq!(&s_as, &s_p, "parallel active-set metrics diverged");
-        prop_assert_eq!(t_as.records(), t_p.records(), "parallel traces diverged");
     }
 
     // Replaying the identical faulty run twice is deterministic.
     #[test]
     fn faulty_runs_replay_deterministically(g in arb_graph(), plan in arb_plan()) {
-        let (d1, s1, t1) = traced_apsp(&g, &plan, false);
-        let (d2, s2, t2) = traced_apsp(&g, &plan, false);
+        let (d1, s1, t1) = traced_apsp(&g, faulty(&plan, SchedulingMode::ActiveSet));
+        let (d2, s2, t2) = traced_apsp(&g, faulty(&plan, SchedulingMode::ActiveSet));
         prop_assert_eq!(d1, d2);
         prop_assert_eq!(s1, s2);
         prop_assert_eq!(t1.records(), t2.records());
